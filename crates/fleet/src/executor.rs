@@ -12,10 +12,16 @@
 //! killed, restarted, and duplicated freely without affecting the
 //! merged result.
 //!
+//! All I/O blocks: one thread waits in `accept`, and each connection's
+//! thread waits in its frame read, so a frame may arrive in pieces with
+//! any pause between them. A halt (shutdown, or an injected death)
+//! shuts every open connection down, which ends those reads, and wakes
+//! `accept` with one loopback connection to the bound port.
+//!
 //! For tests and the `fleet_scaling` experiment, a [`FaultPlan`] can
 //! make an executor die after N jobs, stall without replying, or send
 //! every reply twice — the fault injection behind the failure-path
-//! coverage this PR ships.
+//! tests.
 
 use crate::protocol::PROTOCOL_VERSION;
 use crate::protocol::{
@@ -24,15 +30,16 @@ use crate::protocol::{
 use delta_model::BackendFingerprint;
 use delta_obs::span;
 use delta_sim::Simulator;
+use std::collections::HashMap;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
-/// How often the nonblocking accept loop polls for connections and for
-/// shutdown.
-const ACCEPT_POLL: Duration = Duration::from_millis(10);
+/// How long the accept loop backs off after a failed `accept` (the
+/// process is out of descriptors, say) before it tries again.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(10);
 
 /// Fault injection for tests and the recovery experiment. The default
 /// plan injects nothing.
@@ -75,7 +82,7 @@ impl ExecutorConfig {
 #[derive(Debug)]
 pub struct ExecutorHandle {
     addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
+    state: Arc<ExecutorState>,
     accept_thread: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -85,10 +92,11 @@ impl ExecutorHandle {
         self.addr
     }
 
-    /// Requests shutdown and waits for the accept loop to exit.
-    /// In-flight connections notice on their next read.
+    /// Stops accepting, closes every connection (a job in progress
+    /// finishes, but its reply is not delivered), and waits for every
+    /// executor thread to exit.
     pub fn shutdown(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        self.state.halt();
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
         }
@@ -101,19 +109,113 @@ impl Drop for ExecutorHandle {
     }
 }
 
-/// Per-executor shared state: the simulator, the fault plan, and the
-/// global received-job counter the plan's thresholds compare against.
+/// Per-executor shared state: the simulator, the fault plan, the
+/// global received-job counter the plan's thresholds compare against,
+/// and the open connections.
 #[derive(Debug)]
 struct ExecutorState {
     sim: Simulator,
     fingerprint: BackendFingerprint,
     fault: FaultPlan,
     jobs_received: AtomicU64,
-    shutdown: Arc<AtomicBool>,
-    /// Set when `die_after_jobs` fires: stops the accept loop too, so
-    /// the executor is dead to redial attempts, not just to the
-    /// connection that tripped the threshold.
-    dead: Arc<AtomicBool>,
+    /// The bound address, for the connection that wakes `accept`.
+    addr: SocketAddr,
+    live: Mutex<Live>,
+    /// Notified when the executor halts (releases stalled jobs).
+    halted: Condvar,
+}
+
+/// The executor's open connections, and whether it has halted.
+#[derive(Debug, Default)]
+struct Live {
+    /// Set by [`ExecutorState::halt`]: on shutdown, and when
+    /// `die_after_jobs` fires (the executor is then dead to redial
+    /// attempts too, not just to the connection that tripped it).
+    halted: bool,
+    next_id: u64,
+    /// A clone of each open connection, so a halt can end its blocked
+    /// read.
+    streams: HashMap<u64, TcpStream>,
+}
+
+impl ExecutorState {
+    /// Locks the connection table. A panic cannot leave it half
+    /// updated (each update is one flag store or one map insert or
+    /// remove), and a halt must still reach every connection, so a
+    /// poisoned lock is recovered.
+    fn live(&self) -> MutexGuard<'_, Live> {
+        self.live.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Stops the executor: no more accepts, every connection shut down
+    /// (its blocked read returns), every stalled job released.
+    fn halt(&self) {
+        {
+            let mut live = self.live();
+            if live.halted {
+                return;
+            }
+            live.halted = true;
+            for stream in live.streams.values() {
+                let _ = stream.shutdown(Shutdown::Both);
+            }
+        }
+        self.halted.notify_all();
+        wake_listener(self.addr);
+    }
+
+    fn is_halted(&self) -> bool {
+        self.live().halted
+    }
+
+    /// Registers an open connection until the returned guard drops;
+    /// `None` when the executor has already halted.
+    fn register(&self, stream: &TcpStream) -> io::Result<Option<Registration<'_>>> {
+        let clone = stream.try_clone()?;
+        let mut live = self.live();
+        if live.halted {
+            return Ok(None);
+        }
+        let id = live.next_id;
+        live.next_id += 1;
+        live.streams.insert(id, clone);
+        Ok(Some(Registration { state: self, id }))
+    }
+
+    /// Blocks until the executor halts.
+    fn wait_for_halt(&self) {
+        let live = self.live();
+        let _halted = self
+            .halted
+            .wait_while(live, |live| !live.halted)
+            .unwrap_or_else(|e| e.into_inner());
+    }
+}
+
+/// An open connection's entry in [`Live::streams`], removed on drop.
+struct Registration<'a> {
+    state: &'a ExecutorState,
+    id: u64,
+}
+
+impl Drop for Registration<'_> {
+    fn drop(&mut self) {
+        self.state.live().streams.remove(&self.id);
+    }
+}
+
+/// Makes one connection to the listener bound at `addr`, so that an
+/// `accept` blocked on it returns. An unspecified bind address
+/// (`0.0.0.0`, `[::]`) is reached through loopback.
+fn wake_listener(addr: SocketAddr) {
+    let mut target = addr;
+    if target.ip().is_unspecified() {
+        target.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    let _ = TcpStream::connect_timeout(&target, Duration::from_secs(1));
 }
 
 /// Spawns an executor for `sim` in background threads of this process
@@ -126,23 +228,22 @@ struct ExecutorState {
 /// Propagates bind failures.
 pub fn spawn(sim: Simulator, config: ExecutorConfig) -> io::Result<ExecutorHandle> {
     let listener = TcpListener::bind(&config.addr)?;
-    listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
-    let shutdown = Arc::new(AtomicBool::new(false));
     let fingerprint = BackendFingerprint::of(&sim);
     let state = Arc::new(ExecutorState {
         sim,
         fingerprint,
         fault: config.fault,
         jobs_received: AtomicU64::new(0),
-        shutdown: Arc::clone(&shutdown),
-        dead: Arc::new(AtomicBool::new(false)),
+        addr,
+        live: Mutex::new(Live::default()),
+        halted: Condvar::new(),
     });
     let accept_state = Arc::clone(&state);
     let accept_thread = std::thread::spawn(move || accept_loop(&listener, &accept_state));
     Ok(ExecutorHandle {
         addr,
-        shutdown,
+        state,
         accept_thread: Some(accept_thread),
     })
 }
@@ -169,62 +270,111 @@ pub fn spawn_local_executors(sim: &Simulator, n: u32) -> io::Result<Vec<Executor
 ///
 /// Propagates bind failures.
 pub fn run(sim: Simulator, config: ExecutorConfig) -> io::Result<()> {
-    install_signal_handlers();
+    let signal = TerminationSignal::install()?;
     let mut handle = spawn(sim, config)?;
     eprintln!("executor: listening on {}", handle.addr());
-    while !SIGNALED.load(Ordering::SeqCst) {
-        std::thread::sleep(ACCEPT_POLL);
-    }
+    signal.wait()?;
     eprintln!("executor: shutting down");
     handle.shutdown();
     Ok(())
 }
 
-/// Set by the signal handler; polled by [`run`].
-static SIGNALED: AtomicBool = AtomicBool::new(false);
+/// The write end of the socket pair the signal handler wakes [`run`]
+/// through (-1 until installed).
+#[cfg(unix)]
+static SIGNAL_FD: std::sync::atomic::AtomicI32 = std::sync::atomic::AtomicI32::new(-1);
 
 #[cfg(unix)]
 extern "C" fn on_signal(_signum: i32) {
-    SIGNALED.store(true, Ordering::SeqCst);
+    extern "C" {
+        fn write(fd: i32, buf: *const u8, count: usize) -> isize;
+    }
+    // SAFETY: write(2) is async-signal-safe, the buffer is one valid
+    // byte, and the descriptor stays open for the life of the process
+    // once installed (before that it is -1, and write fails with EBADF).
+    // If the socket is full, an earlier signal's byte is already
+    // waiting, so a failed write loses nothing.
+    unsafe {
+        write(SIGNAL_FD.load(Ordering::SeqCst), [1u8].as_ptr(), 1);
+    }
 }
 
-/// Installs SIGINT/SIGTERM handlers via `signal(2)` straight from the C
-/// runtime Rust already links — the environment has no `libc` crate to
-/// lean on (same approach as `delta_serve`).
+/// SIGINT/SIGTERM, as a byte to block on: the handler writes one byte
+/// into a socket pair and [`TerminationSignal::wait`] reads it (same
+/// approach as `delta_serve`).
 #[cfg(unix)]
-fn install_signal_handlers() {
-    extern "C" {
-        fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
+struct TerminationSignal(std::os::unix::net::UnixStream);
+
+#[cfg(unix)]
+impl TerminationSignal {
+    /// Installs the handlers with `signal(2)` straight from the C
+    /// runtime Rust already links — the environment has no `libc`
+    /// crate to lean on.
+    fn install() -> io::Result<TerminationSignal> {
+        use std::os::unix::io::IntoRawFd;
+        extern "C" {
+            fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
+        }
+        const SIGINT: i32 = 2;
+        const SIGTERM: i32 = 15;
+        let (waiter, notifier) = std::os::unix::net::UnixStream::pair()?;
+        notifier.set_nonblocking(true)?;
+        // A signal can arrive at any time from here on, so the write end
+        // stays open for the life of the process.
+        SIGNAL_FD.store(notifier.into_raw_fd(), Ordering::SeqCst);
+        // SAFETY: `on_signal` only loads an atomic and calls write(2),
+        // both async-signal-safe, so it may run at any point.
+        unsafe {
+            signal(SIGINT, on_signal);
+            signal(SIGTERM, on_signal);
+        }
+        Ok(TerminationSignal(waiter))
     }
-    const SIGINT: i32 = 2;
-    const SIGTERM: i32 = 15;
-    unsafe {
-        signal(SIGINT, on_signal);
-        signal(SIGTERM, on_signal);
+
+    /// Blocks until a termination signal arrives.
+    fn wait(mut self) -> io::Result<()> {
+        use std::io::Read;
+        self.0.read_exact(&mut [0u8; 1])
     }
 }
+
+/// Without Unix signals there is nothing to wait for: the executor runs
+/// until the process is killed.
+#[cfg(not(unix))]
+struct TerminationSignal;
 
 #[cfg(not(unix))]
-fn install_signal_handlers() {}
+impl TerminationSignal {
+    fn install() -> io::Result<TerminationSignal> {
+        Ok(TerminationSignal)
+    }
 
-/// Poll-accept until shutdown or injected death; one thread per
+    fn wait(self) -> io::Result<()> {
+        loop {
+            std::thread::park();
+        }
+    }
+}
+
+/// Blocks in `accept` until the executor halts; one thread per
 /// connection (a coordinator opens one connection per distributed run,
 /// so the thread count stays at the fleet's coordinator count).
 fn accept_loop(listener: &TcpListener, state: &Arc<ExecutorState>) {
     let mut workers: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    while !state.shutdown.load(Ordering::SeqCst) && !state.dead.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let conn_state = Arc::clone(state);
-                workers.push(std::thread::spawn(move || {
-                    // Connection errors mean the peer went away
-                    // mid-exchange; there is nobody left to tell.
-                    let _ = handle_connection(stream, &conn_state);
-                }));
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => std::thread::sleep(ACCEPT_POLL),
-            Err(_) => std::thread::sleep(ACCEPT_POLL),
+    for conn in listener.incoming() {
+        if state.is_halted() {
+            break;
         }
+        let Ok(stream) = conn else {
+            std::thread::sleep(ACCEPT_ERROR_BACKOFF);
+            continue;
+        };
+        let conn_state = Arc::clone(state);
+        workers.push(std::thread::spawn(move || {
+            // Connection errors mean the peer went away
+            // mid-exchange; there is nobody left to tell.
+            let _ = handle_connection(stream, &conn_state);
+        }));
     }
     for w in workers {
         let _ = w.join();
@@ -232,15 +382,16 @@ fn accept_loop(listener: &TcpListener, state: &Arc<ExecutorState>) {
 }
 
 /// One connection: handshake, then a job/reply loop until the peer
-/// closes, shutdown is requested, or a fault fires.
-fn handle_connection(mut stream: TcpStream, state: &Arc<ExecutorState>) -> io::Result<()> {
-    // Reads poll at a short timeout so shutdown/death are noticed even
-    // on an idle connection.
-    stream.set_read_timeout(Some(Duration::from_millis(100)))?;
+/// closes, the executor halts, or a fault fires. Reads block; a halt
+/// shuts the connection down, which ends them.
+fn handle_connection(mut stream: TcpStream, state: &ExecutorState) -> io::Result<()> {
+    let Some(_registration) = state.register(&stream)? else {
+        return Ok(());
+    };
     stream.set_nodelay(true).ok();
 
     // Handshake.
-    let hello: Hello = read_until_ready(&mut stream, state)?;
+    let hello: Hello = read_frame(&mut stream)?;
     let reply = handshake_reply(&hello, &state.fingerprint);
     let accepted = reply.ok;
     write_frame(&mut stream, &reply)?;
@@ -249,9 +400,9 @@ fn handle_connection(mut stream: TcpStream, state: &Arc<ExecutorState>) -> io::R
     }
 
     loop {
-        let job: JobMsg = match read_until_ready(&mut stream, state) {
+        let job: JobMsg = match read_frame(&mut stream) {
             Ok(j) => j,
-            // Peer closed or executor shutting down: done.
+            // Peer closed or executor halted: done.
             Err(_) => return Ok(()),
         };
         let received = state.jobs_received.fetch_add(1, Ordering::SeqCst) + 1;
@@ -259,17 +410,15 @@ fn handle_connection(mut stream: TcpStream, state: &Arc<ExecutorState>) -> io::R
             if received > n {
                 // Die abruptly: no reply, no more accepts. The
                 // coordinator sees a closed socket and re-dispatches.
-                state.dead.store(true, Ordering::SeqCst);
+                state.halt();
                 return Ok(());
             }
         }
         if let Some(n) = state.fault.stall_after_jobs {
             if received > n {
-                // Stall: hold the job forever (until shutdown). The
+                // Stall: hold the job until the executor halts. The
                 // coordinator's per-job timeout fires and re-dispatches.
-                while !state.shutdown.load(Ordering::SeqCst) {
-                    std::thread::sleep(ACCEPT_POLL);
-                }
+                state.wait_for_halt();
                 return Ok(());
             }
         }
@@ -277,33 +426,6 @@ fn handle_connection(mut stream: TcpStream, state: &Arc<ExecutorState>) -> io::R
         write_frame(&mut stream, &reply)?;
         if state.fault.duplicate_replies && reply.ok {
             write_frame(&mut stream, &reply)?;
-        }
-    }
-}
-
-/// Reads one frame, retrying through read-timeout polls until a frame
-/// arrives, the peer closes, or shutdown/death is requested.
-fn read_until_ready<T: serde::Deserialize>(
-    stream: &mut TcpStream,
-    state: &Arc<ExecutorState>,
-) -> io::Result<T> {
-    loop {
-        match read_frame(stream) {
-            Ok(v) => return Ok(v),
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                if state.shutdown.load(Ordering::SeqCst) || state.dead.load(Ordering::SeqCst) {
-                    return Err(io::Error::new(
-                        io::ErrorKind::ConnectionAborted,
-                        "executor shutting down",
-                    ));
-                }
-            }
-            Err(e) => return Err(e),
         }
     }
 }

@@ -263,6 +263,17 @@ pub fn span(name: &'static str) -> SpanGuard {
 /// Opens a span with pre-built arguments ([`crate::span!`]'s slow
 /// path; only reached when tracing is on).
 pub fn span_with(name: &'static str, args: Vec<(Cow<'static, str>, ArgValue)>) -> SpanGuard {
+    span_since(name, Instant::now(), args)
+}
+
+/// Opens a span that began at `started`, before this thread took the
+/// work over (a connection accepted by one thread and handled by
+/// another). It nests like any span opened on this thread now.
+pub fn span_since(
+    name: &'static str,
+    started: Instant,
+    args: Vec<(Cow<'static, str>, ArgValue)>,
+) -> SpanGuard {
     if !enabled() {
         return SpanGuard::disabled();
     }
@@ -273,7 +284,6 @@ pub fn span_with(name: &'static str, args: Vec<(Cow<'static, str>, ArgValue)>) -
         stack.push(id);
         parent
     });
-    let started = Instant::now();
     let ts_us = started.duration_since(epoch()).as_micros() as u64;
     SpanGuard(Some(ActiveSpan {
         id,
@@ -468,6 +478,26 @@ mod tests {
         assert!(a.ts_us <= b.ts_us && b.ts_us <= c.ts_us);
         let same_tid = events.iter().all(|e| e.tid == a.tid && e.tid >= 1);
         assert!(same_tid, "one thread, one tid");
+    }
+
+    #[test]
+    fn a_span_since_an_earlier_instant_covers_it_and_nests() {
+        let _gate = exclusive();
+        set_enabled(true);
+        let started = Instant::now();
+        std::thread::sleep(std::time::Duration::from_millis(5));
+        {
+            let _conn = span_since("conn", started, vec![("queue_us".into(), 7u64.into())]);
+            let _inner = crate::span!("inner");
+        }
+        set_enabled(false);
+        let events = drain();
+        let conn = events.iter().find(|e| e.name == "conn").expect("conn");
+        let inner = events.iter().find(|e| e.name == "inner").expect("inner");
+        assert!(conn.dur_us >= 5_000, "{conn:?}");
+        assert!(conn.dur_us >= inner.dur_us + 5_000, "{conn:?} {inner:?}");
+        assert_eq!(inner.parent, conn.id);
+        assert_eq!(conn.args, vec![("queue_us".into(), ArgValue::U64(7))]);
     }
 
     #[test]

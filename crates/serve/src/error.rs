@@ -15,11 +15,12 @@ use serde::Value;
 /// slug, and a human-readable message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ApiError {
-    /// HTTP status code (400/404/405/413/500).
+    /// HTTP status code (400/404/405/408/413/500/503).
     pub status: u16,
     /// Stable machine-readable slug (`invalid_json`, `unknown_field`,
     /// `invalid_query`, `invalid_layer`, `invalid_gpu`, `not_found`,
-    /// `method_not_allowed`, `payload_too_large`, `internal`).
+    /// `method_not_allowed`, `request_timeout`, `payload_too_large`,
+    /// `internal`, `overloaded`).
     pub code: String,
     /// Human-readable description of what was wrong.
     pub message: String,
@@ -53,6 +54,29 @@ impl ApiError {
             status: 405,
             code: "method_not_allowed".into(),
             message: format!("`{path}` does not accept {method} (use {allowed})"),
+        }
+    }
+
+    /// 408 for a request head that did not arrive within `limit` of
+    /// the connection being accepted.
+    pub fn request_timeout(limit: std::time::Duration) -> ApiError {
+        ApiError {
+            status: 408,
+            code: "request_timeout".into(),
+            message: format!(
+                "request head not received within {} ms of connecting",
+                limit.as_millis()
+            ),
+        }
+    }
+
+    /// 503 for a connection that arrived while every handler was busy
+    /// and the queue in front of them was full.
+    pub fn overloaded() -> ApiError {
+        ApiError {
+            status: 503,
+            code: "overloaded".into(),
+            message: "every handler is busy and the connection queue is full; retry later".into(),
         }
     }
 

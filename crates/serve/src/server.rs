@@ -1,12 +1,18 @@
-//! The daemon: a pool of accept/worker threads over one listener,
-//! request routing, the four endpoint handlers, and graceful shutdown
-//! (SIGINT/SIGTERM or [`ServerHandle::shutdown`]) with a final cache
-//! save.
+//! The daemon: one acceptor thread and a bounded pool of handler
+//! threads over one listener, request routing, the endpoint handlers,
+//! and graceful shutdown (SIGINT/SIGTERM or [`ServerHandle::shutdown`])
+//! with a final cache save.
 //!
 //! The connection model is deliberately simple: one request per
-//! connection, `Connection: close` on every response. Each worker owns a
-//! clone of the nonblocking listener and polls a shared shutdown flag
-//! between accepts, so shutdown never hangs on a blocked `accept(2)`.
+//! connection, `Connection: close` on every response. The acceptor
+//! blocks in `accept(2)` and never reads from a socket; it queues each
+//! connection for the handlers. The server holds at most two
+//! connections per handler — one being handled, one waiting — and the
+//! acceptor answers a structured `503 overloaded` itself past that. A
+//! handler gives the client [`http::HEAD_DEADLINE`] from accept to
+//! deliver the request head, so peers that connect and stay silent hold
+//! a handler for at most that long. Shutdown wakes the blocked `accept`
+//! with one loopback connection to the bound port.
 
 use crate::error::ApiError;
 use crate::http;
@@ -17,15 +23,17 @@ use delta_model::Backend;
 use delta_obs::span;
 use serde::{Deserialize, Serialize, Value};
 use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// How long workers sleep between accept polls while idle.
-const ACCEPT_POLL: Duration = Duration::from_millis(5);
+/// How long the acceptor backs off after a failed `accept` (the process
+/// is out of descriptors, say) before it tries again.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(10);
 
 /// Server construction options.
 #[derive(Debug, Clone)]
@@ -33,7 +41,9 @@ pub struct ServeConfig {
     /// Bind address, e.g. `127.0.0.1:7878` (port 0 picks a free port —
     /// the bound address is on the returned handle).
     pub addr: String,
-    /// Worker-thread count (each accepts and handles connections).
+    /// Handler-thread count. It is also the number of accepted
+    /// connections that may wait for a busy handler; past that the
+    /// server answers `503 overloaded`.
     pub threads: usize,
     /// Optional persistent warm store: a cache-format-v3 file loaded at
     /// startup and saved on shutdown and periodically while dirty.
@@ -53,12 +63,17 @@ impl Default for ServeConfig {
     }
 }
 
+/// An accepted connection and when it was accepted.
+type Accepted = (TcpStream, Instant);
+
 /// A running server: its bound address and the means to stop it.
 pub struct ServerHandle {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
-    workers: Vec<JoinHandle<()>>,
-    housekeeper: Option<JoinHandle<()>>,
+    acceptor: Option<JoinHandle<()>>,
+    handlers: Vec<JoinHandle<()>>,
+    /// Dropping the sender wakes the housekeeper for good.
+    housekeeper: Option<(Sender<()>, JoinHandle<()>)>,
     finish: Option<Box<dyn FnOnce() + Send>>,
 }
 
@@ -68,19 +83,27 @@ impl ServerHandle {
         self.addr
     }
 
-    /// Signals every worker to stop, joins them, and runs the final
-    /// cache save. Idempotent with [`Drop`] (dropping an un-shutdown
-    /// handle also stops the server).
+    /// Stops accepting, lets the handlers finish the connections they
+    /// hold, joins every thread, and runs the final cache save.
+    /// Idempotent with [`Drop`] (dropping an un-shutdown handle also
+    /// stops the server).
     pub fn shutdown(mut self) {
         self.stop();
     }
 
     fn stop(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        for w in self.workers.drain(..) {
-            let _ = w.join();
+        if let Some(acceptor) = self.acceptor.take() {
+            self.shutdown.store(true, Ordering::SeqCst);
+            wake_listener(self.addr);
+            // The acceptor drops the queue's sender on exit, which ends
+            // every handler once the queue is empty.
+            let _ = acceptor.join();
         }
-        if let Some(h) = self.housekeeper.take() {
+        for h in self.handlers.drain(..) {
+            let _ = h.join();
+        }
+        if let Some((wake, h)) = self.housekeeper.take() {
+            drop(wake);
             let _ = h.join();
         }
         if let Some(finish) = self.finish.take() {
@@ -95,10 +118,24 @@ impl Drop for ServerHandle {
     }
 }
 
-/// Binds `config.addr` and starts the worker pool. Returns once the
-/// listener is live; the handle's address is ready for clients
-/// immediately. Prints a startup line (and the warm-store size, if any)
-/// to stderr.
+/// Makes one connection to the listener bound at `addr`, so that an
+/// `accept` blocked on it returns. An unspecified bind address
+/// (`0.0.0.0`, `[::]`) is reached through loopback.
+fn wake_listener(addr: SocketAddr) {
+    let mut target = addr;
+    if target.ip().is_unspecified() {
+        target.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    let _ = TcpStream::connect_timeout(&target, Duration::from_secs(1));
+}
+
+/// Binds `config.addr` and starts the acceptor and the handler pool.
+/// Returns once the listener is live; the handle's address is ready for
+/// clients immediately. Prints a startup line (and the warm-store size,
+/// if any) to stderr.
 pub fn spawn<B>(backend: B, config: ServeConfig) -> std::io::Result<ServerHandle>
 where
     B: Backend + Send + Sync + 'static,
@@ -116,33 +153,38 @@ where
         );
     }
     let listener = TcpListener::bind(&config.addr)?;
-    listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
     let shutdown = Arc::new(AtomicBool::new(false));
     let threads = config.threads.max(1);
-    let mut workers = Vec::with_capacity(threads);
-    for _ in 0..threads {
-        let listener = listener.try_clone()?;
-        let state = Arc::clone(&state);
+    let (queue, pending) = mpsc::channel::<Accepted>();
+    let pending = Arc::new(Mutex::new(pending));
+    let admitted = Arc::new(AtomicUsize::new(0));
+    let handlers = (0..threads)
+        .map(|_| {
+            let pending = Arc::clone(&pending);
+            let admitted = Arc::clone(&admitted);
+            let state = Arc::clone(&state);
+            let shutdown = Arc::clone(&shutdown);
+            std::thread::spawn(move || handler_loop(&pending, &admitted, &state, &shutdown))
+        })
+        .collect();
+    let acceptor = {
         let shutdown = Arc::clone(&shutdown);
-        workers.push(std::thread::spawn(move || {
-            accept_loop(&listener, &state, &shutdown)
-        }));
-    }
-    // Housekeeping: periodic cache saves while dirty.
+        let admission = Admission {
+            admitted,
+            capacity: 2 * threads,
+        };
+        std::thread::spawn(move || accept_loop(&listener, &queue, &admission, &shutdown))
+    };
+    // Housekeeping: periodic cache saves while dirty, until the handle
+    // drops the sender.
+    let (wake, woken) = mpsc::channel::<()>();
     let housekeeper = {
         let state = Arc::clone(&state);
-        let shutdown = Arc::clone(&shutdown);
         let save_every = config.save_every;
         std::thread::spawn(move || {
-            let mut since_save = Duration::ZERO;
-            while !shutdown.load(Ordering::SeqCst) {
-                std::thread::sleep(ACCEPT_POLL);
-                since_save += ACCEPT_POLL;
-                if since_save >= save_every {
-                    since_save = Duration::ZERO;
-                    report_save(&state);
-                }
+            while let Err(RecvTimeoutError::Timeout) = woken.recv_timeout(save_every) {
+                report_save(&state);
             }
         })
     };
@@ -150,8 +192,9 @@ where
     Ok(ServerHandle {
         addr,
         shutdown,
-        workers,
-        housekeeper: Some(housekeeper),
+        acceptor: Some(acceptor),
+        handlers,
+        housekeeper: Some((wake, housekeeper)),
         finish: Some(Box::new(move || report_save(&state))),
     })
 }
@@ -172,87 +215,202 @@ pub fn run<B>(backend: B, config: ServeConfig) -> std::io::Result<()>
 where
     B: Backend + Send + Sync + 'static,
 {
-    install_signal_handlers();
+    let signal = TerminationSignal::install()?;
     let handle = spawn(backend, config)?;
-    while !signal_received() {
-        std::thread::sleep(ACCEPT_POLL);
-    }
+    signal.wait()?;
     eprintln!("serve: shutting down");
     handle.shutdown();
     Ok(())
 }
 
-/// Set by the signal handler; polled by [`run`].
-static SIGNALED: AtomicBool = AtomicBool::new(false);
+/// The write end of the socket pair the signal handler wakes [`run`]
+/// through (-1 until installed).
+#[cfg(unix)]
+static SIGNAL_FD: std::sync::atomic::AtomicI32 = std::sync::atomic::AtomicI32::new(-1);
 
 #[cfg(unix)]
 extern "C" fn on_signal(_signum: i32) {
-    SIGNALED.store(true, Ordering::SeqCst);
+    extern "C" {
+        fn write(fd: i32, buf: *const u8, count: usize) -> isize;
+    }
+    // SAFETY: write(2) is async-signal-safe, the buffer is one valid
+    // byte, and the descriptor stays open for the life of the process
+    // once installed (before that it is -1, and write fails with EBADF).
+    // If the socket is full, an earlier signal's byte is already
+    // waiting, so a failed write loses nothing.
+    unsafe {
+        write(SIGNAL_FD.load(Ordering::SeqCst), [1u8].as_ptr(), 1);
+    }
 }
 
-/// Installs SIGINT/SIGTERM handlers that request a graceful shutdown.
-/// Uses `signal(2)` straight from the C runtime Rust already links — the
-/// environment has no `libc`/`signal-hook` crate to lean on.
+/// SIGINT/SIGTERM, as a byte to block on: the handler writes one byte
+/// into a socket pair and [`TerminationSignal::wait`] reads it.
 #[cfg(unix)]
-fn install_signal_handlers() {
-    extern "C" {
-        fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
+struct TerminationSignal(std::os::unix::net::UnixStream);
+
+#[cfg(unix)]
+impl TerminationSignal {
+    /// Installs the handlers with `signal(2)` straight from the C
+    /// runtime Rust already links — the environment has no
+    /// `libc`/`signal-hook` crate to lean on.
+    fn install() -> std::io::Result<TerminationSignal> {
+        use std::os::unix::io::IntoRawFd;
+        extern "C" {
+            fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
+        }
+        const SIGINT: i32 = 2;
+        const SIGTERM: i32 = 15;
+        let (waiter, notifier) = std::os::unix::net::UnixStream::pair()?;
+        notifier.set_nonblocking(true)?;
+        // A signal can arrive at any time from here on, so the write end
+        // stays open for the life of the process.
+        SIGNAL_FD.store(notifier.into_raw_fd(), Ordering::SeqCst);
+        // SAFETY: `on_signal` only loads an atomic and calls write(2),
+        // both async-signal-safe, so it may run at any point.
+        unsafe {
+            signal(SIGINT, on_signal);
+            signal(SIGTERM, on_signal);
+        }
+        Ok(TerminationSignal(waiter))
     }
-    const SIGINT: i32 = 2;
-    const SIGTERM: i32 = 15;
-    unsafe {
-        signal(SIGINT, on_signal);
-        signal(SIGTERM, on_signal);
+
+    /// Blocks until a termination signal arrives.
+    fn wait(mut self) -> std::io::Result<()> {
+        use std::io::Read;
+        self.0.read_exact(&mut [0u8; 1])
     }
 }
+
+/// Without Unix signals there is nothing to wait for: the server runs
+/// until the process is killed.
+#[cfg(not(unix))]
+struct TerminationSignal;
 
 #[cfg(not(unix))]
-fn install_signal_handlers() {}
+impl TerminationSignal {
+    fn install() -> std::io::Result<TerminationSignal> {
+        Ok(TerminationSignal)
+    }
 
-/// Whether a termination signal has arrived.
-fn signal_received() -> bool {
-    SIGNALED.load(Ordering::SeqCst)
-}
-
-/// One worker's accept loop: poll-accept until shutdown.
-fn accept_loop<B: Backend>(
-    listener: &TcpListener,
-    state: &Arc<ServeState<B>>,
-    shutdown: &AtomicBool,
-) {
-    while !shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let _guard = state.enter();
-                // Connection handling errors mean the peer went away
-                // mid-exchange; there is nobody left to tell.
-                let _ = handle_connection(stream, state);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(_) => std::thread::sleep(ACCEPT_POLL),
+    fn wait(self) -> std::io::Result<()> {
+        loop {
+            std::thread::park();
         }
     }
 }
 
+/// How many connections the server may hold at once.
+struct Admission {
+    /// Connections queued or being handled; a handler releases its
+    /// connection's count when done with it.
+    admitted: Arc<AtomicUsize>,
+    /// The limit: one connection being handled and one waiting, per
+    /// handler. The count covers the handlers' own connections too, so
+    /// a burst that arrives before idle handlers wake up to take it is
+    /// not refused while they are free.
+    capacity: usize,
+}
+
+/// The acceptor: blocks in `accept` and queues each connection for the
+/// handlers, answering `503 overloaded` past the admission limit, until
+/// shutdown. Returning drops the queue's sender.
+fn accept_loop(
+    listener: &TcpListener,
+    queue: &Sender<Accepted>,
+    admission: &Admission,
+    shutdown: &AtomicBool,
+) {
+    for conn in listener.incoming() {
+        if shutdown.load(Ordering::SeqCst) {
+            return;
+        }
+        let Ok(stream) = conn else {
+            std::thread::sleep(ACCEPT_ERROR_BACKOFF);
+            continue;
+        };
+        if admission.admitted.fetch_add(1, Ordering::SeqCst) >= admission.capacity {
+            admission.admitted.fetch_sub(1, Ordering::SeqCst);
+            reject_overloaded(stream);
+        } else if queue.send((stream, Instant::now())).is_err() {
+            return;
+        }
+    }
+}
+
+/// Answers a connection no handler can take with a structured 503.
+/// The acceptor must never wait on a peer, so the write is nonblocking:
+/// a fresh connection's send buffer takes this small response whole.
+fn reject_overloaded(mut stream: TcpStream) {
+    let _ = stream.set_nonblocking(true);
+    let _ = http::write_error(&mut stream, &ApiError::overloaded());
+    let _ = stream.shutdown(Shutdown::Write);
+}
+
+/// One handler: takes queued connections and serves each, until the
+/// acceptor has gone and the queue is empty. Connections still queued
+/// at shutdown are closed unanswered.
+fn handler_loop<B: Backend>(
+    pending: &Mutex<Receiver<Accepted>>,
+    admitted: &AtomicUsize,
+    state: &Arc<ServeState<B>>,
+    shutdown: &AtomicBool,
+) {
+    loop {
+        let next = pending.lock().expect("connection queue poisoned").recv();
+        let Ok((stream, accepted)) = next else {
+            return;
+        };
+        if !shutdown.load(Ordering::SeqCst) {
+            serve_connection(stream, accepted, state);
+        }
+        admitted.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// Serves one accepted connection, from pickup to close, inside its
+/// `serve.conn` span.
+fn serve_connection<B: Backend>(
+    mut stream: TcpStream,
+    accepted: Instant,
+    state: &Arc<ServeState<B>>,
+) {
+    let waited = accepted.elapsed();
+    state.observe_queue_wait(waited);
+    let _conn = if delta_obs::trace::enabled() {
+        delta_obs::trace::span_since(
+            "serve.conn",
+            accepted,
+            vec![("queue_us".into(), (waited.as_micros() as u64).into())],
+        )
+    } else {
+        delta_obs::SpanGuard::disabled()
+    };
+    let _guard = state.enter();
+    // Connection handling errors mean the peer went away mid-exchange;
+    // there is nobody left to tell.
+    let _ = handle_connection(&mut stream, accepted, state);
+    // The FIN goes out ahead of the close, so a client whose request was
+    // not read to the end still reads the response, not a reset.
+    let _ = stream.shutdown(Shutdown::Write);
+}
+
 /// Reads one request, routes it, writes one response.
 fn handle_connection<B: Backend>(
-    mut stream: TcpStream,
+    stream: &mut TcpStream,
+    accepted: Instant,
     state: &Arc<ServeState<B>>,
 ) -> std::io::Result<()> {
-    stream.set_nonblocking(false)?;
-    stream.set_read_timeout(Some(Duration::from_secs(30)))?;
-    let request = match http::read_request(&mut stream)? {
+    stream.set_write_timeout(Some(http::IO_TIMEOUT))?;
+    let request = match http::read_request(stream, accepted)? {
         Ok(r) => r,
-        Err(e) => return http::write_error(&mut stream, &e),
+        Err(e) => return http::write_error(stream, &e),
     };
     match (request.method.as_str(), request.path.as_str()) {
         ("POST", "/eval") => {
             state.count_request(Endpoint::Eval);
             let _span = span!("serve.request", endpoint = "eval");
             let started = Instant::now();
-            let outcome = respond(&mut stream, handle_eval(state, &request.body));
+            let outcome = respond(stream, handle_eval(state, &request.body));
             state.observe_latency(Endpoint::Eval, started.elapsed());
             outcome
         }
@@ -260,7 +418,7 @@ fn handle_connection<B: Backend>(
             state.count_request(Endpoint::Step);
             let _span = span!("serve.request", endpoint = "step");
             let started = Instant::now();
-            let outcome = respond(&mut stream, handle_step(state, &request.body));
+            let outcome = respond(stream, handle_step(state, &request.body));
             state.observe_latency(Endpoint::Step, started.elapsed());
             outcome
         }
@@ -268,7 +426,7 @@ fn handle_connection<B: Backend>(
             state.count_request(Endpoint::Sweep);
             let _span = span!("serve.request", endpoint = "sweep");
             let started = Instant::now();
-            let outcome = handle_sweep(state, &request.body, &mut stream);
+            let outcome = handle_sweep(state, &request.body, stream);
             state.observe_latency(Endpoint::Sweep, started.elapsed());
             outcome
         }
@@ -277,33 +435,26 @@ fn handle_connection<B: Backend>(
             let started = Instant::now();
             let body = serde_json::to_string(&state.snapshot())
                 .map_err(|e| ApiError::internal(format!("stats serialization failed: {e}")));
-            let outcome = respond(&mut stream, body);
+            let outcome = respond(stream, body);
             state.observe_latency(Endpoint::Stats, started.elapsed());
             outcome
         }
         ("GET", "/healthz") => {
             let body = serde_json::to_string(&health(state))
                 .map_err(|e| ApiError::internal(format!("healthz serialization failed: {e}")));
-            respond(&mut stream, body)
+            respond(stream, body)
         }
         ("GET", "/metrics") => {
             let body = state.metrics_text();
-            http::write_response(
-                &mut stream,
-                200,
-                "text/plain; version=0.0.4",
-                body.as_bytes(),
-            )
+            http::write_response(stream, 200, "text/plain; version=0.0.4", body.as_bytes())
         }
-        (method, path @ ("/eval" | "/step" | "/sweep")) => http::write_error(
-            &mut stream,
-            &ApiError::method_not_allowed(method, path, "POST"),
-        ),
-        (method, path @ ("/stats" | "/healthz" | "/metrics")) => http::write_error(
-            &mut stream,
-            &ApiError::method_not_allowed(method, path, "GET"),
-        ),
-        (_, path) => http::write_error(&mut stream, &ApiError::not_found(path)),
+        (method, path @ ("/eval" | "/step" | "/sweep")) => {
+            http::write_error(stream, &ApiError::method_not_allowed(method, path, "POST"))
+        }
+        (method, path @ ("/stats" | "/healthz" | "/metrics")) => {
+            http::write_error(stream, &ApiError::method_not_allowed(method, path, "GET"))
+        }
+        (_, path) => http::write_error(stream, &ApiError::not_found(path)),
     }
 }
 

@@ -145,6 +145,7 @@ pub struct ServeState<B: Backend> {
     latency_step: Histogram,
     latency_sweep: Histogram,
     latency_stats: Histogram,
+    queue_wait: Histogram,
     started: Instant,
     cache_file: Option<PathBuf>,
     dirty: AtomicBool,
@@ -235,6 +236,11 @@ impl<B: Backend> ServeState<B> {
             latency_step: lat("step"),
             latency_sweep: lat("sweep"),
             latency_stats: lat("stats"),
+            queue_wait: registry.histogram(
+                "delta_serve_queue_seconds",
+                "Time from accepting a connection to a handler picking it up",
+                &[],
+            ),
             engine,
             shards: Arc::clone(&shards),
             flights: Mutex::new(HashMap::new()),
@@ -389,6 +395,11 @@ impl<B: Backend> ServeState<B> {
             Endpoint::Stats => &self.latency_stats,
         };
         histogram.observe(elapsed);
+    }
+
+    /// Records how long an accepted connection waited for a handler.
+    pub fn observe_queue_wait(&self, waited: Duration) {
+        self.queue_wait.observe(waited);
     }
 
     /// Counts `n` queries carried by a sweep.

@@ -351,3 +351,35 @@ fn the_protocol_version_is_part_of_the_contract() {
     // the constant is public API documented in docs/FLEET.md.
     assert_eq!(PROTOCOL_VERSION, 1);
 }
+
+#[test]
+fn frame_split_across_a_read_timeout_is_not_lost() {
+    use delta_fleet::protocol::{read_frame, write_frame, Hello, HelloReply};
+    use std::io::Write;
+
+    let planner = sim();
+    let executor = delta_fleet::executor::spawn(sim(), ExecutorConfig::new("127.0.0.1:0"))
+        .expect("spawn executor");
+    let mut frame = Vec::new();
+    write_frame(
+        &mut frame,
+        &Hello {
+            protocol: PROTOCOL_VERSION,
+            fingerprint: delta_model::BackendFingerprint::of(&planner),
+            version: String::new(),
+        },
+    )
+    .expect("encode hello");
+    let mut stream = std::net::TcpStream::connect(executor.addr()).expect("connect");
+    stream.set_nodelay(true).expect("nodelay");
+    // Half of the length prefix, a pause longer than any read poll the
+    // executor might use, then the rest of the frame.
+    stream.write_all(&frame[..2]).expect("write prefix half");
+    std::thread::sleep(Duration::from_millis(250));
+    stream.write_all(&frame[2..]).expect("write rest");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("read timeout");
+    let reply: HelloReply = read_frame(&mut stream).expect("handshake reply within 5 s");
+    assert!(reply.ok, "{reply:?}");
+}

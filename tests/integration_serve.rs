@@ -468,6 +468,16 @@ fn metrics_exposes_prometheus_text_with_cache_counters_and_latency() {
         text.contains("delta_serve_request_seconds_count{endpoint=\"step\"}"),
         "{text}"
     );
+    // Accept-to-pickup time: every connection so far was picked up once
+    // (the /metrics request itself included).
+    assert!(
+        text.contains("# TYPE delta_serve_queue_seconds histogram"),
+        "{text}"
+    );
+    assert!(
+        text.contains("\ndelta_serve_queue_seconds_count 2\n"),
+        "{text}"
+    );
 
     // Wrong method gets the structured 405, like every other endpoint.
     let (status, body) = post(addr, "/metrics", "");
@@ -515,4 +525,184 @@ fn healthz_reports_the_backend_fingerprint() {
     let (status, body) = request(server.addr(), "POST", "/healthz", "");
     assert_eq!(status, 405, "{body}");
     server.shutdown();
+}
+
+/// Reads until the server closes, keeping whatever arrived before a
+/// reset (a server that stops reading early may reset the connection
+/// after its response).
+fn read_until_closed(stream: &mut TcpStream) -> String {
+    let mut bytes = Vec::new();
+    let mut buf = [0u8; 4096];
+    loop {
+        match stream.read(&mut buf) {
+            Ok(0) | Err(_) => break,
+            Ok(n) => bytes.extend_from_slice(&buf[..n]),
+        }
+    }
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
+/// The peak resident set of this test process, in KiB.
+fn peak_rss_kib() -> u64 {
+    let status = std::fs::read_to_string("/proc/self/status").expect("read /proc/self/status");
+    status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))
+        .and_then(|v| v.trim().trim_end_matches("kB").trim().parse().ok())
+        .expect("VmHWM line")
+}
+
+/// A model server with `threads` handlers.
+fn model_server_with(threads: usize) -> delta_serve::ServerHandle {
+    spawn(
+        Delta::new(GpuSpec::titan_xp()),
+        ServeConfig {
+            addr: "127.0.0.1:0".into(),
+            threads,
+            ..ServeConfig::default()
+        },
+    )
+    .expect("bind 127.0.0.1:0")
+}
+
+/// `n` peers that connect and then send nothing.
+fn silent_peers(addr: SocketAddr, n: usize) -> Vec<TcpStream> {
+    (0..n)
+        .map(|_| TcpStream::connect(addr).expect("connect silent peer"))
+        .collect()
+}
+
+#[test]
+fn an_oversized_request_line_gets_a_400_and_memory_stays_bounded() {
+    const LINE_BYTES: usize = 80 << 20;
+    let server = model_server();
+    let before = peak_rss_kib();
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    let mut writer = stream.try_clone().expect("clone stream");
+    // The line is streamed from one small chunk, so the client itself
+    // never holds it; a write error means the server stopped reading.
+    let sender = std::thread::spawn(move || {
+        let chunk = vec![b'a'; 64 << 10];
+        let mut sent = 0;
+        let _ = writer.write_all(b"GET /");
+        while sent < LINE_BYTES && writer.write_all(&chunk).is_ok() {
+            sent += chunk.len();
+        }
+        let _ = writer.shutdown(std::net::Shutdown::Write);
+    });
+    let response = read_until_closed(&mut stream);
+    sender.join().expect("sender thread");
+    assert!(response.starts_with("HTTP/1.1 400 "), "{response}");
+    assert!(response.contains("malformed_request"), "{response}");
+    let grown_kib = peak_rss_kib().saturating_sub(before);
+    assert!(
+        grown_kib < 8 << 10,
+        "an {LINE_BYTES}-byte request line grew the peak RSS by {grown_kib} KiB"
+    );
+    server.shutdown();
+}
+
+#[test]
+fn silent_peers_cannot_starve_healthz() {
+    const THREADS: usize = 2;
+    let server = model_server_with(THREADS);
+    let mut peers = silent_peers(server.addr(), THREADS + 1);
+    let started = std::time::Instant::now();
+    let (status, body) = request(server.addr(), "GET", "/healthz", "");
+    let elapsed = started.elapsed();
+    assert_eq!(status, 200, "{body}");
+    assert!(
+        elapsed < std::time::Duration::from_secs(1),
+        "/healthz behind {} silent peers took {elapsed:?}",
+        THREADS + 1
+    );
+    // The silent peers themselves were told why they were dropped.
+    let response = read_until_closed(&mut peers[0]);
+    assert!(response.starts_with("HTTP/1.1 408 "), "{response}");
+    assert!(response.contains("request_timeout"), "{response}");
+    server.shutdown();
+}
+
+#[test]
+fn a_connection_span_covers_accept_to_close_and_carries_the_queue_wait() {
+    // Span recording is process-wide; no other test in this binary
+    // asserts on spans, and recording never changes a response.
+    delta_obs::trace::set_enabled(true);
+    let server = model_server();
+    let query = EvalQuery::new(&small_layer("traced"), Pass::Fwd, Parallelism::Single);
+    let (status, body) = post(server.addr(), "/eval", &json(&query));
+    assert_eq!(status, 200, "{body}");
+    server.shutdown();
+    let events = delta_obs::trace::drain();
+    let conns: Vec<_> = events.iter().filter(|e| e.name == "serve.conn").collect();
+    assert!(
+        conns
+            .iter()
+            .all(|c| c.args.iter().any(|(k, _)| k == "queue_us")),
+        "{conns:?}"
+    );
+    let nested = events.iter().any(|e| {
+        e.name == "serve.request"
+            && conns
+                .iter()
+                .any(|c| c.id == e.parent && c.dur_us >= e.dur_us)
+    });
+    assert!(
+        nested,
+        "a serve.request span nests in its serve.conn: {events:?}"
+    );
+}
+
+#[test]
+fn a_flood_of_silent_peers_still_gets_a_complete_answer_within_a_second() {
+    const THREADS: usize = 2;
+    let server = model_server_with(THREADS);
+    let _peers = silent_peers(server.addr(), 2 * THREADS + 2);
+    let started = std::time::Instant::now();
+    let (status, body) = request(server.addr(), "GET", "/healthz", "");
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < std::time::Duration::from_secs(1),
+        "/healthz behind {} silent peers took {elapsed:?}",
+        2 * THREADS + 2
+    );
+    match status {
+        200 => {}
+        503 => {
+            let v: Value = serde_json::from_str(&body).expect("503 body is JSON");
+            let err = v.get("error").expect("error envelope");
+            assert_eq!(
+                err.get("code"),
+                Some(&Value::Str("overloaded".into())),
+                "{body}"
+            );
+            assert_eq!(err.get("status"), Some(&Value::U64(503)), "{body}");
+        }
+        other => panic!("expected 200 or a structured 503, got {other}: {body}"),
+    }
+    server.shutdown();
+}
+
+#[test]
+fn shutdown_is_prompt_while_a_silent_peer_is_connected() {
+    let server = model_server();
+    let _peer = silent_peers(server.addr(), 1);
+    // Wait until a handler holds the peer, so shutdown has to wait for
+    // it: the peer and this /stats request are then both in flight.
+    let in_flight = || {
+        let (_, body) = request(server.addr(), "GET", "/stats", "");
+        let stats: Value = serde_json::from_str(&body).expect("stats is JSON");
+        match stats.get("in_flight") {
+            Some(Value::U64(n)) => *n,
+            other => panic!("in_flight is not a count: {other:?}"),
+        }
+    };
+    while in_flight() < 2 {}
+    let started = std::time::Instant::now();
+    server.shutdown();
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < std::time::Duration::from_secs(1),
+        "shutdown with a silent peer took {elapsed:?}"
+    );
 }
